@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test bench bench-gate bench-serving load-smoke scale-smoke coverage docs-check examples lint all
+.PHONY: test bench bench-gate bench-serving load-smoke scale-smoke perfbench coverage docs-check examples lint all
 
 ## Tier-1 test suite (fast; what CI gates on).
 test:
@@ -36,6 +36,13 @@ load-smoke:
 ## benchmarks/results/scale_smoke_baseline.json.
 scale-smoke:
 	$(PYTHON) scripts/scale_smoke.py
+
+## Repository benchmark (contract in BENCHMARK.json): both workloads,
+## untraced, seed 1.  For another seed call perfbench/run.py directly.
+perfbench:
+	set -e; for workload in range-cold serve-mixed; do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 40 --trace 0; \
+	done
 
 ## Coverage gate (CI): needs pytest-cov; the fail-under floor lives in
 ## pyproject.toml [tool.coverage.report].

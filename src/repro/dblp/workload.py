@@ -22,7 +22,8 @@ from repro.dblp.probabilistic import (
     iter_weighted_rows,
 )
 from repro.dblp.views import recent_copub_rows, v1_view, v2_view, v3_view
-from repro.query.parser import parse_query
+from repro.query.parser import _render_term, parse_query
+from repro.query.terms import Constant
 from repro.query.ucq import UCQ
 
 
@@ -118,11 +119,16 @@ def build_sweep_mvdb(
 
 
 # --------------------------------------------------------------------- queries
+def _name_matches(variable: str, name: str) -> str:
+    """Datalog text of ``variable like '%name%'``, quoted the way the parser reads it."""
+    return f"{variable} like {_render_term(Constant(f'%{name}%'))}"
+
+
 def students_of_advisor(advisor_name: str) -> UCQ:
     """Find all (probable) students of the advisor whose name matches."""
     return parse_query(
         "Q(aid) :- Student(aid, year), Advisor(aid, aid1), Author(aid1, n1), "
-        f"n1 like '%{advisor_name}%'"
+        + _name_matches("n1", advisor_name)
     )
 
 
@@ -130,14 +136,14 @@ def advisor_of_student(student_name: str) -> UCQ:
     """Find the (probable) advisor of the student whose name matches."""
     return parse_query(
         "Q(aid1) :- Student(aid, year), Advisor(aid, aid1), Author(aid, n), "
-        f"n like '%{student_name}%'"
+        + _name_matches("n", student_name)
     )
 
 
 def affiliation_of_author(author_name: str) -> UCQ:
     """Find the (probable) affiliation of the author whose name matches."""
     return parse_query(
-        "Q(inst) :- Affiliation(aid, inst), Author(aid, n), " f"n like '%{author_name}%'"
+        "Q(inst) :- Affiliation(aid, inst), Author(aid, n), " + _name_matches("n", author_name)
     )
 
 
@@ -145,5 +151,5 @@ def madden_query(advisor_name: str = "Advisor 0") -> UCQ:
     """The running example of Fig. 2: students advised by a named advisor."""
     return parse_query(
         "Q(aid) :- Student(aid, year), Advisor(aid, aid1), Author(aid, n), "
-        f"Author(aid1, n1), n1 like '%{advisor_name}%'"
+        "Author(aid1, n1), " + _name_matches("n1", advisor_name)
     )

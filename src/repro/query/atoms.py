@@ -12,10 +12,13 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import EvaluationError, QueryError
 from repro.query.terms import Constant, Term, Variable, is_variable, make_term
+
+#: A database row or an intermediate tuple, read by position.
+_Values = Sequence[Any]
 
 _OPERATORS: dict[str, Callable[[Any, Any], bool]] = {
     "=": operator.eq,
@@ -29,10 +32,36 @@ _OPERATORS: dict[str, Callable[[Any, Any], bool]] = {
 }
 
 
+def like_matcher(pattern: Any) -> Callable[[Any], bool]:
+    """Compile SQL ``value like pattern`` into a one-argument test.
+
+    ``%`` matches any substring (newlines included) and ``_`` any single
+    character; both sides compare through ``str``.  The common shapes skip
+    the regex engine: ``'%x%'`` with no inner wildcard is a substring test,
+    and a pattern with no wildcard at all is string equality.  Any other
+    pattern compiles one regex.  :meth:`Comparison.evaluate` and the
+    positional tests of :meth:`Comparison.pair_test` share this builder.
+    """
+    pattern = str(pattern)
+    if not _has_wildcard(pattern):
+        return lambda value: str(value) == pattern
+    inner = pattern[1:-1]
+    if len(pattern) >= 2 and pattern[0] == pattern[-1] == "%" and not _has_wildcard(inner):
+        return lambda value: inner in str(value)
+    regex = re.compile(re.escape(pattern).replace("%", ".*").replace("_", "."), re.DOTALL)
+    return lambda value: regex.fullmatch(str(value)) is not None
+
+
+def _has_wildcard(pattern: str) -> bool:
+    return "%" in pattern or "_" in pattern
+
+
 def _like(value: Any, pattern: Any) -> bool:
-    """SQL LIKE with ``%`` (any substring) and ``_`` (any character)."""
-    regex = re.escape(str(pattern)).replace("%", ".*").replace("_", ".")
-    return re.fullmatch(regex, str(value)) is not None
+    return like_matcher(pattern)(value)
+
+
+def _incomparable(left: Any, op: str, right: Any) -> EvaluationError:
+    return EvaluationError(f"cannot compare {left!r} {op} {right!r}")
 
 
 @dataclass(frozen=True)
@@ -116,16 +145,54 @@ class Comparison:
             return substitution[term]
         return term.value  # type: ignore[union-attr]
 
+    def _function(self) -> Callable[[Any, Any], bool]:
+        return _like if self.op == "like" else _OPERATORS[self.op]
+
     def evaluate(self, substitution: dict[Variable, Any]) -> bool:
         """Evaluate the comparison under a variable substitution."""
         left = self._resolve(self.left, substitution)
         right = self._resolve(self.right, substitution)
-        if self.op == "like":
-            return _like(left, right)
         try:
-            return _OPERATORS[self.op](left, right)
+            return self._function()(left, right)
         except TypeError as exc:
-            raise EvaluationError(f"cannot compare {left!r} {self.op} {right!r}") from exc
+            raise _incomparable(left, self.op, right) from exc
+
+    def pair_test(
+        self, slots: Mapping[Variable, int], positions: Mapping[Variable, int]
+    ) -> Callable[[_Values, _Values], bool]:
+        """Compile into a positional ``test(env, row)``, once per query.
+
+        A variable in ``positions`` is read from the candidate row, any other
+        from its slot in ``slots`` of the intermediate tuple ``env``.  A
+        comparison whose variables all lie in ``positions`` reads the row
+        only, so the query evaluator calls it with an empty ``env`` at the
+        scan.  A constant LIKE pattern is compiled here, once.
+        """
+
+        def reader(term: Term) -> Callable[[_Values, _Values], Any]:
+            if not is_variable(term):
+                value = term.value  # type: ignore[union-attr]
+                return lambda env, row: value
+            if term in positions:
+                position = positions[term]  # type: ignore[index]
+                return lambda env, row: row[position]
+            slot = slots[term]  # type: ignore[index]
+            return lambda env, row: env[slot]
+
+        read_left, read_right = reader(self.left), reader(self.right)
+        if self.op == "like" and not is_variable(self.right):
+            match = like_matcher(self.right.value)  # type: ignore[union-attr]
+            return lambda env, row: match(read_left(env, row))
+        function, op = self._function(), self.op
+
+        def test(env: _Values, row: _Values) -> bool:
+            left, right = read_left(env, row), read_right(env, row)
+            try:
+                return function(left, right)
+            except TypeError as exc:
+                raise _incomparable(left, op, right) from exc
+
+        return test
 
     def __repr__(self) -> str:
         return f"{self.left!r} {self.op} {self.right!r}"

@@ -14,6 +14,20 @@ are ordered greedily (most-bound, then smallest); each join step either
   hash of the join key and joined partition by partition, bounding the
   resident build-table size at ``build_side / GRACE_PARTITIONS``.
 
+Comparisons are compiled once per :func:`evaluate_cq` call into positional
+tests (:meth:`~repro.query.atoms.Comparison.pair_test`; a constant ``like``
+pattern is compiled then too) and scheduled at the earliest join step that
+binds their variables.  A *row-local* comparison — every variable first
+bound by that step's atom, e.g. ``year >= 2005`` on ``Student(aid, year)``
+— runs at the scan or index lookup, so a failing row never enters a build
+table, gets a lineage variable, or becomes an intermediate tuple.  A
+*cross-atom* comparison such as ``aid2 <> aid3`` runs when a matching row
+is emitted, reading fixed slots of the intermediate tuple and positions of
+the row.  Incomparable values (``'a' > 3``) raise ``EvaluationError`` only
+for a row that passes every other row-local test and joins, whichever join
+regime ran: a row-local test that hits them keeps the row and re-runs at
+emit.
+
 Intermediate tuples are projected onto the variables still needed
 downstream, so wide joins do not drag dead columns along.  For every answer
 tuple the evaluator also returns the lineage: a monotone DNF over the
@@ -32,7 +46,7 @@ probabilities — on either backend, across processes.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Iterator, Mapping, Protocol, Sequence
+from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
 
 from repro.db.database import Database
 from repro.db.table import Row
@@ -174,9 +188,22 @@ def _grace_partition(key: tuple[Any, ...]) -> int:
 #: One intermediate tuple: projected variable values + lineage clause so far.
 _Item = tuple[tuple[Any, ...], frozenset[int]]
 
+#: A compiled comparison: ``test(intermediate tuple, row)``.
+_Test = Callable[[tuple[Any, ...], Row], bool]
+
 
 class _JoinStep:
-    """One atom of the pipeline: term analysis + emit logic for matches."""
+    """One atom of the pipeline: term analysis, compiled filters and emit logic.
+
+    ``comparisons`` are the ones that become checkable at this step.  Each is
+    compiled once into a positional test: one whose variables are all first
+    bound by this atom is *row-local* and runs in :meth:`row_consistent`,
+    before a row enters a build table or gets a lineage variable; any other
+    reads earlier variables from the intermediate tuple and runs in
+    :meth:`emit`.  ``recheck`` is set once a row-local test meets
+    incomparable values; :meth:`emit` then re-runs the row-local tests, so the
+    ``EvaluationError`` fires only for a row that joins.
+    """
 
     def __init__(
         self,
@@ -187,8 +214,6 @@ class _JoinStep:
         provider: LineageProvider,
     ) -> None:
         self.atom = atom
-        self.slots = slots
-        self.comparisons = comparisons
         self.provider = provider
         self.const_bindings: dict[int, Any] = {}
         self.join_by_pos: list[tuple[int, int]] = []  # (row position, env slot)
@@ -204,33 +229,50 @@ class _JoinStep:
                     self.first_pos[term] = position
             else:
                 self.const_bindings[position] = term.value  # type: ignore[union-attr]
-        self.comp_vars = {v for c in comparisons for v in c.variables()}
+        self.row_tests: list[_Test] = []
+        self.emit_tests: list[_Test] = []
+        for comparison in comparisons:
+            test = comparison.pair_test(slots, self.first_pos)
+            if all(v in self.first_pos for v in comparison.variables()):
+                self.row_tests.append(test)
+            else:
+                self.emit_tests.append(test)
+        self.recheck = False
         # Output layout: surviving old slots (in order), then new variables
         # (in first-occurrence order), filtered to what is needed downstream.
-        self.out_layout = [v for v in slots if v in keep]
-        self.out_layout += [v for v in self.first_pos if v in keep]
-        self.out_slots = {v: i for i, v in enumerate(self.out_layout)}
-
-    def _value(self, variable: Variable, env: tuple[Any, ...], row: Row) -> Any:
-        slot = self.slots.get(variable)
-        if slot is not None:
-            return env[slot]
-        return row[self.first_pos[variable]]
+        out_layout = [v for v in slots if v in keep]
+        self.env_out = [slots[v] for v in out_layout]
+        self.row_out = [p for v, p in self.first_pos.items() if v in keep]
+        out_layout += [v for v in self.first_pos if v in keep]
+        self.out_slots = {v: i for i, v in enumerate(out_layout)}
 
     def row_consistent(self, row: Row) -> bool:
-        """Within-atom checks a raw scan does not cover (repeated variables)."""
-        return all(row[p] == row[q] for p, q in self.dup_checks)
+        """Within-atom checks a raw scan does not cover (repeated variables, row-local tests)."""
+        for p, q in self.dup_checks:
+            if row[p] != row[q]:
+                return False
+        for test in self.row_tests:
+            try:
+                if not test((), row):
+                    return False
+            except EvaluationError:
+                self.recheck = True  # keep the row; emit raises if it joins
+        return True
 
     def emit(self, env: tuple[Any, ...], clause: frozenset[int], row: Row, out: list[_Item]) -> None:
         """Extend one intermediate with one matching row (filters + lineage)."""
-        if self.comparisons:
-            substitution = {v: self._value(v, env, row) for v in self.comp_vars}
-            if not all(c.evaluate(substitution) for c in self.comparisons):
+        if self.recheck:
+            for test in self.row_tests:
+                test((), row)
+        for test in self.emit_tests:
+            if not test(env, row):
                 return
         variable = self.provider.variable_for(self.atom.relation, row)
         if variable is not None:
             clause = clause | {variable}
-        out.append((tuple(self._value(v, env, row) for v in self.out_layout), clause))
+        values = [env[slot] for slot in self.env_out]
+        values += [row[position] for position in self.row_out]
+        out.append((tuple(values), clause))
 
     def probe_key(self, env: tuple[Any, ...]) -> tuple[Any, ...]:
         return tuple(env[slot] for _, slot in self.join_by_pos)

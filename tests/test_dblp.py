@@ -185,3 +185,16 @@ class TestWorkloadQueries:
         for answer in by_index:
             assert by_index[answer] == pytest.approx(by_obdd[answer], abs=1e-9)
             assert by_index[answer] == pytest.approx(by_mv[answer], abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["O'Brien", 'The "Ace" Advisor'])
+    @pytest.mark.parametrize(
+        "builder",
+        [students_of_advisor, advisor_of_student, affiliation_of_author, madden_query],
+    )
+    def test_builders_quote_names_with_quotes(self, small_workload, builder, name):
+        query = builder(name)
+        (comparison,) = query.disjuncts[0].comparisons
+        assert comparison.op == "like"
+        assert comparison.right.value == f"%{name}%"
+        # No author carries the name, so the query parses, runs and is empty.
+        assert MVQueryEngine(small_workload.mvdb).query(query) == {}

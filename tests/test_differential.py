@@ -15,10 +15,17 @@ instance/query pairs, which is the acceptance bar for the disk-backed
 relational layer: any ordering or typing discrepancy introduced by the sqlite
 backend (row order, value affinity, duplicate handling) shows up here as a
 probability diff.
+
+Both backends run the same evaluator, so agreement between them cannot
+catch a bug in the evaluator itself (its join strategies, pushdown or the
+compiled comparison predicates).  Every query is therefore also checked
+against :func:`brute_force`, a nested-loop reference that shares nothing
+with the evaluator but :meth:`Comparison.evaluate`.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import struct
 
@@ -26,7 +33,9 @@ import pytest
 
 from repro.db import SqliteBackend
 from repro.indb import TupleIndependentDatabase, probability_to_weight
-from repro.query import answer_probabilities, evaluate_ucq, parse_query
+from repro.query import answer_probabilities, as_ucq, evaluate_ucq, parse_query
+from repro.query.evaluator import QueryResult
+from repro.query.terms import is_variable
 
 INSTANCES_PER_RUN = 20
 QUERIES_PER_INSTANCE = 10
@@ -45,7 +54,8 @@ SIGNATURE = (
 INT_DOMAIN = tuple(range(8))
 STR_DOMAIN = ("alpha", "beta", "gamma", "delta", "epsilon")
 VARIABLES = ("x", "y", "z", "w")
-COMPARISON_OPS = ("<", "<=", ">", ">=", "!=")
+COMPARISON_OPS = ("<", "<=", ">", ">=", "!=", "<>", "=")
+LIKE_PATTERNS = ("'%a%'", "'%ta'", "'b%'", "'_e%'", "'%l_h%'", "'gamma'", "'%p%i%'")
 
 
 # ------------------------------------------------------------------ instances
@@ -88,13 +98,14 @@ def load_instance(spec: dict[str, list], backend) -> TupleIndependentDatabase:
 def _random_body(rng: random.Random) -> "tuple[list, list[str]]":
     """One random CQ body: ``(body parts, variables in first-use order)``.
 
-    Parts are ``("atom", name, [terms])`` or ``("cmp", var, op, const)``;
+    Parts are ``("atom", name, [terms])`` or ``("cmp", left, op, right)``;
     variable terms are bare names from VARIABLES, constants are rendered text.
     """
     atom_count = rng.randint(1, 3)
     parts: list = []
     var_types: dict[str, set] = {}
     order: list[str] = []
+    atom_vars: list[list[str]] = []
     for _ in range(atom_count):
         name, types, _ = SIGNATURE[rng.randrange(len(SIGNATURE))]
         terms = []
@@ -111,13 +122,50 @@ def _random_body(rng: random.Random) -> "tuple[list, list[str]]":
                 if variable not in order:
                     order.append(variable)
         parts.append(("atom", name, terms))
+        atom_vars.append([t for t in terms if t in VARIABLES])
 
-    int_vars = [v for v in order if var_types[v] == {int}]
-    if int_vars and rng.random() < 0.4:
-        variable = rng.choice(int_vars)
-        op = rng.choice(COMPARISON_OPS)
-        parts.append(("cmp", variable, op, str(rng.choice(INT_DOMAIN))))
-    return parts, order
+    for _ in range(2):
+        if rng.random() < 0.5:
+            parts.append(_random_comparison(rng, var_types, atom_vars))
+    return [part for part in parts if part is not None], order
+
+
+def _random_comparison(
+    rng: random.Random, var_types: "dict[str, set]", atom_vars: "list[list[str]]"
+) -> "tuple | None":
+    """``("cmp", left, op, right)`` over type-consistent operands, or None.
+
+    Shapes: ``var op const``, ``const op var``, ``var op var`` between
+    variables of two different atoms, and ``var like pattern`` on a ``str``
+    variable.  Operands never mix an ``int`` and a ``str`` variable.
+    """
+    typed = {t: [v for v in var_types if var_types[v] == {t}] for t in (int, str)}
+    shape = rng.choice(("var-const", "const-var", "var-var", "like"))
+    if shape == "like":
+        if not typed[str]:
+            return None
+        return ("cmp", rng.choice(typed[str]), "like", rng.choice(LIKE_PATTERNS))
+    if shape == "var-var":
+        pairs = [
+            (left, right)
+            for first, second in itertools.permutations(range(len(atom_vars)), 2)
+            for left in atom_vars[first]
+            for right in atom_vars[second]
+            if left != right and var_types[left] == var_types[right]
+            and len(var_types[left]) == 1
+        ]
+        if not pairs:
+            return None
+        left, right = rng.choice(pairs)
+        return ("cmp", left, rng.choice(COMPARISON_OPS), right)
+    if not typed[int]:
+        return None
+    variable = rng.choice(typed[int])
+    constant = str(rng.choice(INT_DOMAIN))
+    op = rng.choice(COMPARISON_OPS)
+    if shape == "const-var":
+        return ("cmp", constant, op, variable)
+    return ("cmp", variable, op, constant)
 
 
 def _render(parts: list, head_vars: "list[str]", rename: "dict[str, str]") -> str:
@@ -133,8 +181,9 @@ def _render(parts: list, head_vars: "list[str]", rename: "dict[str, str]") -> st
             rendered = [var(t) if t in VARIABLES else t for t in terms]
             pieces.append(f"{name}({', '.join(rendered)})")
         else:
-            _, variable, op, const = part
-            pieces.append(f"{var(variable)} {op} {const}")
+            _, left, op, right = part
+            operands = [var(t) if t in VARIABLES else t for t in (left, right)]
+            pieces.append(f"{operands[0]} {op} {operands[1]}")
     head = f"Q({', '.join(var(v) for v in head_vars)})" if head_vars else "Q"
     return f"{head} :- {', '.join(pieces)}"
 
@@ -157,6 +206,43 @@ def random_query(rng: random.Random) -> str:
         rename.update(zip(spare_src, spare_dst))
         text = f"{text}\n{_render(other_parts, other_order[:arity], rename)}"
     return text
+
+
+# ------------------------------------------------------------------ reference
+def brute_force(query, indb) -> QueryResult:
+    """Reference evaluation: nested loops over every atom's rows.
+
+    Each combination of rows binds the atoms' variables in one substitution
+    dict; the combination derives an answer when the bindings agree, the
+    atoms' constants match, and every comparison holds under
+    :meth:`Comparison.evaluate`.  No join order, pushdown or compiled
+    predicate is involved.
+    """
+    ucq = as_ucq(query)
+    result = QueryResult(ucq.head)
+    for cq in ucq.disjuncts:
+        tables = [indb.database.table(atom.relation).rows() for atom in cq.atoms]
+        for rows in itertools.product(*tables):
+            substitution: dict = {}
+            if not all(_bind(atom, row, substitution) for atom, row in zip(cq.atoms, rows)):
+                continue
+            if not all(c.evaluate(substitution) for c in cq.comparisons):
+                continue
+            variables = (indb.variable_for(a.relation, row) for a, row in zip(cq.atoms, rows))
+            clause = frozenset(v for v in variables if v is not None)
+            result.add_derivation(tuple(substitution[v] for v in cq.head), clause)
+    return result
+
+
+def _bind(atom, row, substitution: dict) -> bool:
+    """Extend ``substitution`` with ``atom`` matched to ``row``; False on a clash."""
+    for term, value in zip(atom.terms, row):
+        if not is_variable(term):
+            if term.value != value:
+                return False
+        elif substitution.setdefault(term, value) != value:
+            return False
+    return True
 
 
 # ----------------------------------------------------------------- comparison
@@ -191,6 +277,9 @@ def run_differential_case(seed: int, build_budget: "int | None" = None) -> int:
             )
             assert set(reference.answers()) == set(candidate.answers())
             assert canonical_dnfs(reference) == canonical_dnfs(candidate)
+            assert canonical_dnfs(reference) == canonical_dnfs(
+                brute_force(query, memory_indb)
+            )
             reference_probs = answer_probabilities(
                 reference, memory_indb.probabilities()
             )

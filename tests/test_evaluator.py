@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db import Database
+from repro.errors import EvaluationError
 from repro.indb import TupleIndependentDatabase, probability_to_weight
 from repro.query import (
     answer_probabilities,
@@ -86,6 +87,38 @@ class TestDeterministicEvaluation:
         # 'y' never bound: the CQ constructor already rejects it.
         with pytest.raises(Exception):
             parse_rule("Q(x) :- R(x), y < 3")
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_incomparable_comparison_raises_typed_error(self, backend):
+        db = Database(backend=backend)
+        db.create_table("T", ["a", "s"], [(1, "alpha"), (2, "beta")])
+        with pytest.raises(EvaluationError, match="cannot compare"):
+            evaluate_ucq(parse_query("Q(a) :- T(a, s), s > 3"), db)
+        db.close()
+
+    @pytest.mark.parametrize("threshold", [10**6, -1], ids=["index-probe", "hash-join"])
+    def test_incomparable_row_raises_only_if_it_joins(self, monkeypatch, threshold):
+        # R is ordered first; T's join step probes its index or hashes all of T.
+        monkeypatch.setattr("repro.query.evaluator.INDEX_PROBE_THRESHOLD", threshold)
+        db = Database()
+        db.create_table("R", ["a", "b"], [(1, 1)])
+        db.create_table("T", ["b", "s"], [(1, 5), (9, "x"), (2, 1), (3, 7)])
+        query = parse_query("Q(a) :- R(a, b), T(b, s), s > 3")
+        assert sorted(evaluate_ucq(query, db).answers()) == [(1,)]
+        db.table("R").insert((9, 9))
+        with pytest.raises(EvaluationError, match="cannot compare 'x' > 3"):
+            evaluate_ucq(query, db)
+
+    def test_row_local_and_cross_atom_comparisons(self):
+        db = Database()
+        db.create_table("R", ["a", "b"], [(1, 1), (1, 2), (2, 3), (4, 4)])
+        db.create_table("S", ["b", "c"], [(1, 1), (2, 5), (3, 2), (4, 9)])
+        # ``3 <= c`` is local to S; ``a <> c`` spans both atoms.
+        result = evaluate_ucq(parse_query("Q(a, c) :- R(a, b), S(b, c), 3 <= c, a <> c"), db)
+        assert sorted(result.answers()) == [(1, 5), (4, 9)]
+        # A comparison between two variables of one atom is row-local too.
+        result = evaluate_ucq(parse_query("Q(a, b) :- R(a, b), a < b"), db)
+        assert sorted(result.answers()) == [(1, 2), (2, 3)]
 
     def test_deterministic_lineage_is_true(self):
         db = Database()

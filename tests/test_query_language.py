@@ -1,8 +1,10 @@
 """Unit tests for terms, atoms, conjunctive queries, UCQs and the parser."""
 
+import re
+
 import pytest
 
-from repro.errors import ParseError, QueryError
+from repro.errors import EvaluationError, ParseError, QueryError
 from repro.query import (
     Atom,
     Comparison,
@@ -17,6 +19,23 @@ from repro.query import (
     parse_query,
     parse_rule,
 )
+from repro.query.atoms import like_matcher
+
+
+def reference_like(value, pattern) -> bool:
+    """The plain regex translation of SQL LIKE (``%`` any run, ``_`` one char)."""
+    regex = re.escape(str(pattern)).replace("%", ".*").replace("_", ".")
+    return re.fullmatch(regex, str(value), re.DOTALL) is not None
+
+
+LIKE_PATTERNS = [
+    "", "%", "%%", "_", "abc", "%abc%", "%abc", "abc%", "a_c", "%a_c%", "%a%c%",
+    "a%c", "%.%", "a.c", "%*%", "(a", "%(a)%", "[x]", "%\\%", "%a\nb%", "12", "%2%",
+]
+LIKE_VALUES = [
+    "", "abc", "xabcx", "aXc", "a.c", "abbc", "*", "(a)", "(a", "[x]", "\\",
+    "a\nb", "\n", "%", "_", 12, 1.5, None, True, ("a", "c"),
+]
 
 
 class TestTerms:
@@ -64,6 +83,56 @@ class TestComparison:
         comparison = Comparison("n", "like", Constant("%Madden%"))
         assert comparison.evaluate({Variable("n"): "Samuel Madden"}) is True
         assert comparison.evaluate({Variable("n"): "Dan Suciu"}) is False
+
+    @pytest.mark.parametrize("pattern", LIKE_PATTERNS)
+    def test_like_lowering_matches_plain_regex(self, pattern):
+        match = like_matcher(pattern)
+        comparison = Comparison("n", "like", Constant(pattern))
+        test = comparison.pair_test({}, {Variable("n"): 0})
+        for value in LIKE_VALUES:
+            expected = reference_like(value, pattern)
+            assert match(value) is expected, (value, pattern)
+            assert comparison.evaluate({Variable("n"): value}) is expected
+            assert test((), (value,)) is expected
+
+    def test_like_with_variable_pattern(self):
+        comparison = Comparison("n", "like", "p")
+        assert comparison.evaluate({Variable("n"): "Madden", Variable("p"): "%add%"})
+        test = comparison.pair_test({Variable("p"): 0}, {Variable("n"): 1})
+        assert test(("M_dd%",), ("xx", "Madden")) is True
+        assert test(("%x",), ("xx", "Madden")) is False
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x < 5", "x >= 5", "x = 5", "x <> 5", "5 <= x", "5 > x", "x <= y", "x != y"],
+    )
+    def test_positional_tests_agree_with_evaluate(self, text):
+        left, op, right = text.split()
+        comparison = Comparison(
+            Variable(left) if left.isidentifier() else Constant(int(left)),
+            op,
+            Variable(right) if right.isidentifier() else Constant(int(right)),
+        )
+        x, y = Variable("x"), Variable("y")
+        row_test = comparison.pair_test({}, {x: 1, y: 0})
+        pair_test = comparison.pair_test({y: 2}, {x: 0})
+        for x_value in range(3, 8):
+            for y_value in (4, 5, 6):
+                expected = comparison.evaluate({x: x_value, y: y_value})
+                assert row_test((), (y_value, x_value)) is expected
+                assert pair_test((None, None, y_value), (x_value,)) is expected
+
+    def test_incomparable_values_raise_typed_error(self):
+        comparison = Comparison("x", ">", Constant(3))
+        with pytest.raises(EvaluationError, match="cannot compare 'a' > 3"):
+            comparison.evaluate({Variable("x"): "a"})
+        with pytest.raises(EvaluationError, match="cannot compare 'a' > 3"):
+            comparison.pair_test({}, {Variable("x"): 0})((), ("a",))
+        reversed_ = Comparison(Constant(3), "<", "x")
+        with pytest.raises(EvaluationError, match="cannot compare 3 < 'a'"):
+            reversed_.pair_test({}, {Variable("x"): 0})((), ("a",))
+        with pytest.raises(EvaluationError, match="cannot compare 3 < 'a'"):
+            reversed_.pair_test({Variable("x"): 0}, {})(("a",), ())
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(QueryError):
