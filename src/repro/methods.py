@@ -141,6 +141,7 @@ class _IntersectMethod(InferenceMethod):
         # materialising them underflows to 0/0 once the index holds a few
         # thousand components (the 10^5+ tuple scales of Sect. 5).
         index = engine.mv_index
+        touched = index.touched_components(lineage.variables())
         numerator = type(self)._intersect(
             index,
             lineage,
@@ -148,8 +149,9 @@ class _IntersectMethod(InferenceMethod):
             statistics=statistics,
             include_untouched=False,
             skip=skip,
+            touched=touched,
         )
-        touched_keys = {c.key for c in index.touched_components(lineage.variables())}
+        touched_keys = {component.key for component in touched}
         if skip is not None and not touched_keys <= skip.relevant_keys:
             # Defensive fallback: a sound analysis always covers the touched
             # set, so this only fires on stale summaries — and then the

@@ -1,7 +1,7 @@
 """The MV-index: offline compilation of W and online intersection algorithms."""
 
-from repro.mvindex.augmented import AugmentedObdd
-from repro.mvindex.cc_intersect import FlatObdd, cc_mv_intersect
+from repro.mvindex.augmented import AugmentedObdd, FlatObdd
+from repro.mvindex.cc_intersect import cc_mv_intersect
 from repro.mvindex.index import IndexedComponent, MVIndex
 from repro.mvindex.intersect import (
     IntersectStatistics,

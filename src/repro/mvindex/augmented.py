@@ -26,13 +26,19 @@ over thousands of components never pays for it.  A caller that already holds
 a ``level → probability`` map (the MV-index shares one across all of its
 components) can pass it as ``probability_of_level`` to skip re-keying the
 full probability dictionary per component.
+
+:class:`FlatObdd` is the same annotation in dense parallel arrays: both
+intersection algorithms read the per-answer query OBDD in it, and the
+cache-conscious one (:mod:`repro.mvindex.cc_intersect`) reads the index
+components in it too.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping
 
-from repro.obdd.manager import ONE, ZERO, ObddManager
+from repro.obdd.manager import ONE, TERMINAL_LEVEL, ZERO, ObddManager
 from repro.obdd.order import VariableOrder
 
 
@@ -161,3 +167,68 @@ class AugmentedObdd:
         for node in self.nodes_at_level(level):
             total += reachability[node] * self.prob_under[self.manager.high(node)]
         return probability * total
+
+
+@dataclass
+class FlatObdd:
+    """An OBDD with its probUnder annotation as dense parallel arrays.
+
+    Index 0 and 1 are the terminals (level ``TERMINAL_LEVEL``, the
+    manager's own encoding); internal nodes start at index 2 and every node
+    is numbered after its children.  Two producers fill it:
+
+    * index components are re-encoded once, when the index is warmed, by
+      :meth:`from_manager`, which numbers the nodes in depth-first order
+      from the root so a top-down traversal walks the arrays mostly
+      sequentially;
+    * a query OBDD is compiled into a fresh manager whose own arrays are
+      already in this encoding (children-first creation order), so
+      :func:`repro.mvindex.intersect.compile_query_obdd` adopts them as they
+      are and fills ``prob_under`` in one forward pass.
+
+    ``probability_of_level`` is the ``level → probability`` map the
+    annotation was computed with; a query OBDD keys exactly its lineage's
+    levels, a re-encoded component leaves it ``None``.
+    """
+
+    levels: list[int]
+    lows: list[int]
+    highs: list[int]
+    prob_under: list[float]
+    root: int
+    probability_of_level: Mapping[int, float] | None = None
+
+    @staticmethod
+    def from_manager(
+        manager: ObddManager, root: int, prob_under: Mapping[int, float] | None = None
+    ) -> "FlatObdd":
+        nodes = manager.reachable_nodes(root)
+        position = {ZERO: ZERO, ONE: ONE}
+        for offset, node in enumerate(nodes):
+            position[node] = offset + 2
+        count = len(nodes) + 2
+        levels = [TERMINAL_LEVEL] * count
+        lows = [ZERO, ONE] + [0] * len(nodes)
+        highs = [ZERO, ONE] + [0] * len(nodes)
+        under = [0.0, 1.0] + [0.0] * len(nodes)
+        for node in nodes:
+            index = position[node]
+            levels[index] = manager.level(node)
+            lows[index] = position[manager.low(node)]
+            highs[index] = position[manager.high(node)]
+            if prob_under is not None:
+                under[index] = prob_under[node]
+        return FlatObdd(levels, lows, highs, under, position[root])
+
+    @staticmethod
+    def from_augmented(augmented: AugmentedObdd) -> "FlatObdd":
+        """Flatten an augmented OBDD, carrying its probUnder annotations over."""
+        return FlatObdd.from_manager(augmented.manager, augmented.root, augmented.prob_under)
+
+    @property
+    def probability(self) -> float:
+        """Probability of the whole formula (``prob_under`` at the root)."""
+        return self.prob_under[self.root]
+
+    def __len__(self) -> int:
+        return len(self.levels)

@@ -3,80 +3,44 @@
 The paper's CC-MVIntersect (Sect. 4.3) replaces the pointer-based BDD node
 representation with a flat vector sorted by the DFS order of the OBDD, so
 that the traversal touches memory sequentially.  The Python analogue of that
-optimisation is to re-encode every component OBDD of the index — once, when
-it is first needed — into dense parallel arrays (level, 0-child, 1-child,
-probUnder), and to drive the online traversal with an explicit stack over
-small integer indices and a flat memo keyed by packed integers, instead of
-recursive calls over manager nodes and tuple-keyed dictionaries.  The
-algorithmic behaviour (what is traversed, which shortcuts apply) is exactly
-that of :func:`repro.mvindex.intersect.mv_intersect`; only the constant
-factors differ, which is what Fig. 9 measures.
+optimisation is to drive the online traversal over dense parallel arrays
+(level, 0-child, 1-child, probUnder — a
+:class:`~repro.mvindex.augmented.FlatObdd`) with an explicit stack over small
+integer indices and a flat memo keyed by packed integers, instead of
+recursive calls over manager nodes and tuple-keyed dictionaries.  The two
+sides reach that layout differently:
+
+* every component OBDD of the index is re-encoded once, in DFS order, when
+  it is first needed (:func:`prewarm_flat_encodings` does all of them when a
+  serving session warms up);
+* the query OBDD is compiled per answer into a fresh manager whose arrays
+  are already flat, in children-first creation order
+  (:func:`repro.mvindex.intersect.compile_query_obdd`), so nothing is
+  re-encoded online.
+
+The algorithmic behaviour (what is traversed, which shortcuts apply) is
+exactly that of :func:`repro.mvindex.intersect.mv_intersect`; only the
+constant factors differ, which is what Fig. 9 measures.  Touched components
+that interleave in the variable order take the pointer path's synthesised
+fallback with the already compiled query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from repro.lineage.dnf import DNF
-from repro.mvindex.augmented import AugmentedObdd
-from repro.mvindex.index import MVIndex
-from repro.mvindex.intersect import IntersectStatistics, compile_query_obdd
+from repro.mvindex.augmented import FlatObdd
+from repro.mvindex.index import IndexedComponent, MVIndex
+from repro.mvindex.intersect import (
+    IntersectStatistics,
+    _level_probabilities,
+    _record_statistics,
+    _synthesised_intersect,
+    compile_query_obdd,
+)
 from repro.mvindex.summaries import SkipAnalysis
-from repro.obdd.manager import ONE, ZERO, ObddManager
-
-#: Flat-array encoding of the two terminals.
-_FLAT_ZERO = 0
-_FLAT_ONE = 1
-#: Level assigned to the terminals in the flat encoding (larger than any variable).
-_FLAT_TERMINAL_LEVEL = 1 << 60
-
-
-@dataclass
-class FlatObdd:
-    """A single OBDD re-encoded as dense arrays in DFS order.
-
-    Index 0 and 1 are the terminals; internal nodes start at index 2 and are
-    numbered in depth-first order from the root, so a top-down traversal
-    walks the arrays mostly sequentially.
-    """
-
-    levels: list[int]
-    lows: list[int]
-    highs: list[int]
-    prob_under: list[float]
-    root: int
-
-    @staticmethod
-    def from_manager(
-        manager: ObddManager, root: int, prob_under: Mapping[int, float] | None = None
-    ) -> "FlatObdd":
-        nodes = manager.reachable_nodes(root)
-        position = {ZERO: _FLAT_ZERO, ONE: _FLAT_ONE}
-        for offset, node in enumerate(nodes):
-            position[node] = offset + 2
-        count = len(nodes) + 2
-        levels = [_FLAT_TERMINAL_LEVEL] * count
-        lows = [0, 1] + [0] * len(nodes)
-        highs = [0, 1] + [0] * len(nodes)
-        under = [0.0, 1.0] + [0.0] * len(nodes)
-        for node in nodes:
-            index = position[node]
-            levels[index] = manager.level(node)
-            lows[index] = position[manager.low(node)]
-            highs[index] = position[manager.high(node)]
-            if prob_under is not None:
-                under[index] = prob_under[node]
-        flat_root = position.get(root, _FLAT_ONE if root == ONE else _FLAT_ZERO)
-        return FlatObdd(levels, lows, highs, under, flat_root)
-
-    @staticmethod
-    def from_augmented(augmented: AugmentedObdd) -> "FlatObdd":
-        """Flatten an augmented OBDD, carrying its probUnder annotations over."""
-        return FlatObdd.from_manager(augmented.manager, augmented.root, augmented.prob_under)
-
-    def __len__(self) -> int:
-        return len(self.levels)
+from repro.obdd.manager import ONE, ZERO
 
 
 def _flat_component(component) -> FlatObdd:
@@ -107,6 +71,7 @@ def cc_mv_intersect(
     statistics: IntersectStatistics | None = None,
     include_untouched: bool = True,
     skip: SkipAnalysis | None = None,
+    touched: list[IndexedComponent] | None = None,
 ) -> float:
     """``P0(Q ∧ ¬W)`` by the cache-conscious flat-array traversal.
 
@@ -116,7 +81,9 @@ def cc_mv_intersect(
     indexes with thousands of components (see :meth:`MVIndex.touched_factor`).
     ``skip`` threads a pre-computed
     :class:`~repro.mvindex.summaries.SkipAnalysis` through, enabling the
-    index-order reuse fast path of :func:`compile_query_obdd`.
+    index-order reuse fast path of :func:`compile_query_obdd` and the
+    index's shared level-probability map.  ``touched`` passes the lineage's
+    touched components when the caller already looked them up.
     """
     probabilities = probabilities or {}
     stats = statistics if statistics is not None else IntersectStatistics()
@@ -127,151 +94,132 @@ def cc_mv_intersect(
         return index.probability_not_w() if include_untouched else 1.0
 
     query, order = compile_query_obdd(index, query_lineage, probabilities, skip=skip)
-    touched = index.touched_components(query_lineage.variables())
-    touched_keys = {component.key for component in touched}
-    stats.touched_components = len(touched)
-    stats.untouched_components = index.component_count() - len(touched)
-    stats.query_obdd_nodes = max(0, len(query.prob_under) - 2)
-    if skip is not None:
-        stats.skipped_components = skip.skipped_count
-    untouched = index.untouched_factor(touched_keys) if include_untouched else 1.0
+    if touched is None:
+        touched = index.touched_components(query_lineage.variables())
+    _record_statistics(stats, index, query, touched, skip)
+    untouched = (
+        index.untouched_factor({component.key for component in touched})
+        if include_untouched
+        else 1.0
+    )
     if not touched:
         return query.probability * untouched
 
+    q_probability, w_probability = _level_probabilities(
+        index, query, order, probabilities, skip
+    )
     ordered = sorted(touched, key=lambda c: c.min_level)
-    interleaved = any(
+    if any(
         current.min_level <= previous.max_level
         for previous, current in zip(ordered, ordered[1:])
-    )
-    if interleaved:
-        # Rare case (components overlap in the variable order): delegate to the
-        # pointer-based algorithm, which has a synthesised fallback.
-        from repro.mvindex.intersect import mv_intersect
-
-        return mv_intersect(
-            index,
-            query_lineage,
-            probabilities,
-            statistics=stats,
-            include_untouched=include_untouched,
-            skip=skip,
+    ):
+        # Rare case (components overlap in the variable order): conjoin them
+        # explicitly, as the pointer-based algorithm does.
+        return (
+            _synthesised_intersect(index, query, ordered, q_probability, w_probability)
+            * untouched
         )
+    return _flat_intersect(query, ordered, q_probability, w_probability, stats) * untouched
 
-    flat_query = FlatObdd.from_manager(query.manager, query.root, query.prob_under)
+
+def _flat_intersect(
+    query: FlatObdd,
+    ordered: list[IndexedComponent],
+    q_probability: Mapping[int, float],
+    w_probability: Mapping[int, float],
+    stats: IntersectStatistics,
+) -> float:
+    """The flat-array traversal of ``query`` against the chain ``ordered``.
+
+    ``ordered`` holds the touched components sorted by level range, with no
+    two ranges interleaving.  A Shannon expansion on a level the query OBDD
+    decides reads ``q_probability``; one only the index decides reads
+    ``w_probability``.
+    """
     chain = [_flat_component(component) for component in ordered]
-    suffix = [1.0] * (len(ordered) + 1)
-    for position in range(len(ordered) - 1, -1, -1):
-        suffix[position] = ordered[position].probability_not_w * suffix[position + 1]
-
-    if skip is not None:
-        # The traversal only probes levels of nodes in the query OBDD and
-        # the touched chain, i.e. levels of the query lineage's and the
-        # touched components' variables — fill just those slots instead of
-        # scanning every probabilistic variable per answer.  Each filled
-        # slot holds exactly the value the full scan would store (same
-        # override precedence), so the traversal arithmetic is
-        # bit-identical.
-        needed = set(query_lineage.variables())
-        for component in ordered:
-            needed.update(component.variables)
-        needed_levels = [order.level_of(v) for v in needed if v in order]
-        max_level = max(needed_levels, default=-1)
-        probability_of_level = [0.0] * (max_level + 2)
-        for variable in needed:
-            if variable not in order:
-                continue
-            value = probabilities.get(variable)
-            if value is None:
-                value = index.probabilities.get(variable, 0.0)
-            probability_of_level[order.level_of(variable)] = value
-    else:
-        merged_probabilities = dict(index.probabilities)
-        merged_probabilities.update(probabilities)
-        max_level = max(
-            (order.level_of(v) for v in merged_probabilities if v in order), default=-1
-        )
-        probability_of_level = [0.0] * (max_level + 2)
-        for variable, value in merged_probabilities.items():
-            if variable in order:
-                probability_of_level[order.level_of(variable)] = value
-
     chain_count = len(chain)
-    q_levels, q_lows, q_highs, q_under = (
-        flat_query.levels,
-        flat_query.lows,
-        flat_query.highs,
-        flat_query.prob_under,
-    )
+    chain_levels = [component.levels for component in chain]
+    chain_lows = [component.lows for component in chain]
+    chain_highs = [component.highs for component in chain]
+    chain_under = [component.prob_under for component in chain]
+    chain_roots = [component.root for component in chain]
+    suffix = [1.0] * (chain_count + 1)
+    for position in range(chain_count - 1, -1, -1):
+        suffix[position] = ordered[position].probability_not_w * suffix[position + 1]
+    q_levels, q_lows, q_highs, q_under = query.levels, query.lows, query.highs, query.prob_under
     # Memo keys pack (chain index, component node, query node) into one integer:
     # nodes of component i are offset by the total size of earlier components.
     q_span = len(q_levels)
     offsets = [0] * chain_count
     running = 0
-    for position, component in enumerate(chain):
+    for position, levels in enumerate(chain_levels):
         offsets[position] = running
-        running += len(component.levels)
+        running += len(levels)
 
     def resolve(q_node: int, chain_index: int, w_node: int):
         """Normalise a state: advance past exhausted components, detect leaves."""
         while True:
-            if q_node == _FLAT_ZERO or w_node == _FLAT_ZERO:
+            if q_node == ZERO or w_node == ZERO:
                 return 0.0
-            if w_node == _FLAT_ONE:
+            if w_node == ONE:
                 if chain_index + 1 < chain_count:
                     chain_index += 1
-                    w_node = chain[chain_index].root
+                    w_node = chain_roots[chain_index]
                     continue
-                return q_under[q_node] if q_node != _FLAT_ONE else 1.0
-            if q_node == _FLAT_ONE:
-                return chain[chain_index].prob_under[w_node] * suffix[chain_index + 1]
+                return q_under[q_node]
+            if q_node == ONE:
+                return chain_under[chain_index][w_node] * suffix[chain_index + 1]
             return (q_node, chain_index, w_node)
 
-    memo: dict[int, float] = {}
-    initial = resolve(flat_query.root, 0, chain[0].root)
-    if isinstance(initial, float):
-        return initial * untouched
+    initial = resolve(query.root, 0, chain_roots[0])
+    if type(initial) is float:
+        return initial
 
+    memo: dict[int, float] = {}
+    expansions = 0
     stack: list[tuple[int, int, int]] = [initial]
     while stack:
         q_node, chain_index, w_node = stack[-1]
-        component = chain[chain_index]
         key = (offsets[chain_index] + w_node) * q_span + q_node
         if key in memo:
             stack.pop()
             continue
         q_level = q_levels[q_node]
-        w_level = component.levels[w_node]
+        w_level = chain_levels[chain_index][w_node]
         if q_level <= w_level:
-            level = q_level
+            probability = q_probability[q_level]
             q_low, q_high = q_lows[q_node], q_highs[q_node]
         else:
-            level = w_level
+            probability = w_probability[w_level]
             q_low, q_high = q_node, q_node
         if w_level <= q_level:
-            w_low, w_high = component.lows[w_node], component.highs[w_node]
+            w_low, w_high = chain_lows[chain_index][w_node], chain_highs[chain_index][w_node]
         else:
             w_low, w_high = w_node, w_node
         low_state = resolve(q_low, chain_index, w_low)
         high_state = resolve(q_high, chain_index, w_high)
-        pending = []
-        low_key = high_key = -1
+        pending = False
         if type(low_state) is not float:
             low_key = (offsets[low_state[1]] + low_state[2]) * q_span + low_state[0]
-            if low_key not in memo:
-                pending.append(low_state)
+            low_value = memo.get(low_key)
+            if low_value is None:
+                stack.append(low_state)
+                pending = True
+            else:
+                low_state = low_value
         if type(high_state) is not float:
             high_key = (offsets[high_state[1]] + high_state[2]) * q_span + high_state[0]
-            if high_key not in memo:
-                pending.append(high_state)
+            high_value = memo.get(high_key)
+            if high_value is None:
+                stack.append(high_state)
+                pending = True
+            else:
+                high_state = high_value
         if pending:
-            stack.extend(pending)
             continue
-        low_value = low_state if type(low_state) is float else memo[low_key]
-        high_value = high_state if type(high_state) is float else memo[high_key]
-        probability = probability_of_level[level]
-        memo[key] = (1.0 - probability) * low_value + probability * high_value
-        stats.pair_expansions += 1
+        memo[key] = (1.0 - probability) * low_state + probability * high_state
+        expansions += 1
         stack.pop()
 
-    initial_key = (offsets[initial[1]] + initial[2]) * q_span + initial[0]
-    return memo[initial_key] * untouched
+    stats.pair_expansions += expansions
+    return memo[(offsets[initial[1]] + initial[2]) * q_span + initial[0]]

@@ -59,6 +59,9 @@ class IndexedComponent:
     min_level: int
     max_level: int
     variables: frozenset[int]
+    #: Smallest contained tuple variable: the component's rank in every
+    #: product fold (see :meth:`MVIndex._product_order`).
+    min_variable: int
 
     @property
     def probability_not_w(self) -> float:
@@ -191,6 +194,7 @@ class MVIndex:
             min_level=min(levels),
             max_level=max(levels),
             variables=frozenset(variables),
+            min_variable=min(variables),
         )
         self.components[key] = component
         for variable in variables:
@@ -449,6 +453,16 @@ class MVIndex:
         """Maximum component width."""
         return max((component.obdd.width for component in self.components.values()), default=0)
 
+    @property
+    def probability_of_level(self) -> Mapping[int, float]:
+        """The shared ``level → probability`` map of every indexed level.
+
+        Kept current in place by :meth:`apply_prepared`; the intersection
+        algorithms read index-side levels from it instead of re-keying
+        probabilities per answer.  Callers must treat it as read-only.
+        """
+        return self._probability_of_level
+
     def component_count(self) -> int:
         """Number of independent components (augmented OBDDs)."""
         return len(self.components)
@@ -493,7 +507,7 @@ class MVIndex:
         clause set), so ordering by it makes every product fold identically
         no matter how the index reached its current state.
         """
-        return sorted(self.components.values(), key=lambda c: min(c.variables))
+        return sorted(self.components.values(), key=lambda c: c.min_variable)
 
     def probability_not_w(self) -> float:
         """``P0(¬W)``: product of the per-component complements."""
@@ -533,7 +547,8 @@ class MVIndex:
         """:meth:`touched_factor` without the full-index scan.
 
         Folds only the touched components, sorted by smallest contained
-        variable — the same *relative* order :meth:`_product_order` gives
+        variable (each component's ``min_variable``, ranked once when it is
+        registered) — the same *relative* order :meth:`_product_order` gives
         them, so the float product is bit-identical to
         :meth:`touched_factor` while the cost drops from O(N log N) over
         all components to O(T log T) over the touched ones.  This is the
@@ -543,7 +558,7 @@ class MVIndex:
         """
         components = sorted(
             (self.components[key] for key in touched_keys),
-            key=lambda component: min(component.variables),
+            key=lambda component: component.min_variable,
         )
         result = 1.0
         for component in components:

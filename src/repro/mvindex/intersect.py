@@ -28,10 +28,10 @@ from typing import Mapping
 
 from repro.errors import InferenceError
 from repro.lineage.dnf import DNF
-from repro.mvindex.augmented import AugmentedObdd
+from repro.mvindex.augmented import AugmentedObdd, FlatObdd
 from repro.mvindex.index import IndexedComponent, MVIndex
 from repro.mvindex.summaries import SkipAnalysis
-from repro.obdd.construct import build_obdd
+from repro.obdd.construct import concatenate_dnf
 from repro.obdd.manager import ONE, ZERO, ObddManager
 from repro.obdd.order import VariableOrder
 
@@ -86,8 +86,18 @@ def compile_query_obdd(
     query_lineage: DNF,
     probabilities: Mapping[int, float],
     skip: SkipAnalysis | None = None,
-) -> tuple[AugmentedObdd, VariableOrder]:
+) -> tuple[FlatObdd, VariableOrder]:
     """Compile the query lineage under the index order (free variables appended).
+
+    The lineage is compiled with :func:`~repro.obdd.construct.concatenate_dnf`
+    into a fresh :class:`~repro.obdd.manager.ObddManager`.  A fresh manager
+    holds exactly the query OBDD, numbered children-first with the terminals
+    at 0/1 — the :class:`~repro.mvindex.augmented.FlatObdd` encoding — so its
+    ``level``/``low``/``high`` arrays are adopted as they are and
+    ``prob_under`` is one forward pass over them.  Returns the flat OBDD
+    (its ``probability_of_level`` keys the lineage's own levels, the
+    caller's ``probabilities`` taking precedence over the index's) and the
+    order it was compiled under.
 
     With a ``skip`` analysis in hand the common case — every lineage
     variable already indexed — reuses ``index.order`` directly instead of
@@ -95,32 +105,96 @@ def compile_query_obdd(
     variable the same level the extended one would, so the compiled OBDD
     and all downstream float products are bit-identical.
     """
+    variables = query_lineage.variables()
     if skip is not None:
-        variables = query_lineage.variables()
-        if all(variable in index.order for variable in variables):
+        indexed = index.order.level_map
+        if all(variable in indexed for variable in variables):
             order = index.order
         else:
             order = index.order.extend(sorted(variables))
         # The annotation only keys levels of the compiled OBDD, i.e. the
-        # lineage's own variables — merge just those instead of copying the
+        # lineage's own variables — key just those instead of copying the
         # full per-database probability dictionary for every answer.  Each
         # entry is the exact value the full merge would hold (same override
         # precedence), so the annotations are bit-identical.
-        merged_probabilities = {}
+        level_of = order.level_map
+        probability_of_level = {}
         for variable in variables:
             value = probabilities.get(variable)
             if value is None:
                 value = index.probabilities.get(variable)
             if value is not None:
-                merged_probabilities[variable] = value
+                probability_of_level[level_of[variable]] = value
     else:
-        order = index.order.extend(sorted(query_lineage.variables()))
+        order = index.order.extend(sorted(variables))
         merged_probabilities = dict(index.probabilities)
         merged_probabilities.update(probabilities)
+        level_of = order.level_map
+        probability_of_level = {
+            level_of[variable]: merged_probabilities[variable]
+            for variable in variables
+            if variable in merged_probabilities
+        }
     manager = ObddManager()
-    compiled = build_obdd(query_lineage, order, manager=manager, method="concat")
-    augmented = AugmentedObdd(manager, compiled.root, order, merged_probabilities)
-    return augmented, order
+    root = concatenate_dnf(manager, query_lineage, order)
+    levels, lows, highs = manager._level, manager._low, manager._high
+    prob_under = [0.0, 1.0]
+    append = prob_under.append
+    for node in range(2, len(levels)):
+        probability = probability_of_level[levels[node]]
+        append(
+            (1.0 - probability) * prob_under[lows[node]]
+            + probability * prob_under[highs[node]]
+        )
+    flat = FlatObdd(levels, lows, highs, prob_under, root, probability_of_level)
+    return flat, order
+
+
+def _record_statistics(
+    stats: IntersectStatistics,
+    index: MVIndex,
+    query: FlatObdd,
+    touched: list[IndexedComponent],
+    skip: SkipAnalysis | None,
+) -> None:
+    """Fill the per-answer work counters shared by both intersection paths.
+
+    ``query_obdd_nodes`` counts every internal node of the query's fresh
+    manager; the concatenation compile leaves none unreachable from the root.
+    """
+    stats.touched_components = len(touched)
+    stats.untouched_components = index.component_count() - len(touched)
+    stats.query_obdd_nodes = len(query) - 2
+    if skip is not None:
+        stats.skipped_components = skip.skipped_count
+
+
+def _level_probabilities(
+    index: MVIndex,
+    query: FlatObdd,
+    order: VariableOrder,
+    probabilities: Mapping[int, float],
+    skip: SkipAnalysis | None,
+) -> tuple[Mapping[int, float], Mapping[int, float]]:
+    """The ``level → probability`` maps for the query side and the index side.
+
+    With a ``skip`` analysis the query's own map (its lineage levels) and
+    the index's shared map (every indexed level, kept current by
+    :meth:`~repro.mvindex.index.MVIndex.apply_prepared`) are used as they
+    are; nothing is built per answer.  Without one, the full merge over
+    every probabilistic variable is rebuilt and serves both sides — the
+    unrestricted reference path the skip ablation measures.
+    """
+    if skip is not None:
+        return query.probability_of_level, index.probability_of_level
+    merged_probabilities = dict(index.probabilities)
+    merged_probabilities.update(probabilities)
+    probability_of_level = {
+        order.level_of(variable): value
+        for variable, value in merged_probabilities.items()
+        if variable in order
+    }
+    return probability_of_level, probability_of_level
 
 
 def mv_intersect(
@@ -130,6 +204,7 @@ def mv_intersect(
     statistics: IntersectStatistics | None = None,
     include_untouched: bool = True,
     skip: SkipAnalysis | None = None,
+    touched: list[IndexedComponent] | None = None,
 ) -> float:
     """``P0(Q ∧ ¬W)`` by the (pointer-based) MVIntersect algorithm.
 
@@ -137,8 +212,10 @@ def mv_intersect(
     does not touch (see :func:`repro.mvindex.cc_intersect.cc_mv_intersect`).
     ``skip`` threads a pre-computed
     :class:`~repro.mvindex.summaries.SkipAnalysis` through: it enables the
-    index-order reuse fast path of :func:`compile_query_obdd` and fills the
-    ``skipped_components`` work counter.
+    index-order reuse fast path of :func:`compile_query_obdd`, reads levels
+    from the index's shared probability map and fills the
+    ``skipped_components`` work counter.  ``touched`` passes the lineage's
+    touched components when the caller already looked them up.
     """
     probabilities = probabilities or {}
     stats = statistics if statistics is not None else IntersectStatistics()
@@ -149,58 +226,53 @@ def mv_intersect(
         return index.probability_not_w() if include_untouched else 1.0
 
     query, order = compile_query_obdd(index, query_lineage, probabilities, skip=skip)
-    touched = index.touched_components(query_lineage.variables())
-    touched_keys = {component.key for component in touched}
-    stats.touched_components = len(touched)
-    stats.untouched_components = index.component_count() - len(touched)
-    stats.query_obdd_nodes = max(0, len(query.prob_under) - 2)
-    if skip is not None:
-        stats.skipped_components = skip.skipped_count
-    untouched = index.untouched_factor(touched_keys) if include_untouched else 1.0
-
+    if touched is None:
+        touched = index.touched_components(query_lineage.variables())
+    _record_statistics(stats, index, query, touched, skip)
+    untouched = (
+        index.untouched_factor({component.key for component in touched})
+        if include_untouched
+        else 1.0
+    )
     if not touched:
         return query.probability * untouched
+    q_probability, w_probability = _level_probabilities(
+        index, query, order, probabilities, skip
+    )
+    return (
+        _pointer_intersect(index, query, touched, q_probability, w_probability, stats)
+        * untouched
+    )
 
+
+def _pointer_intersect(
+    index: MVIndex,
+    query: FlatObdd,
+    touched: list[IndexedComponent],
+    q_probability: Mapping[int, float],
+    w_probability: Mapping[int, float],
+    stats: IntersectStatistics,
+) -> float:
+    """The pointer-based traversal of a compiled query against ``touched``.
+
+    A Shannon expansion on a level the query OBDD decides reads
+    ``q_probability``; one only the index decides reads ``w_probability``.
+    Touched components that interleave in the variable order take the
+    synthesised fallback.
+    """
     try:
         chain = _ChainView(touched)
     except InferenceError:
         # Touched components interleave in the variable order: conjoin them
         # explicitly and fall back to a plain pairwise traversal.
-        return _synthesised_intersect(index, query, touched, probabilities) * untouched
+        return _synthesised_intersect(index, query, touched, q_probability, w_probability)
     w_manager = index.manager
-    q_manager = query.manager
-    if skip is not None:
-        # The traversal only probes levels of nodes in the query OBDD and
-        # the touched chain, and those nodes carry exactly the query
-        # lineage's and the touched components' variables — key just them
-        # instead of scanning every probabilistic variable per answer.
-        # Values match the full scan entry-for-entry (same precedence), so
-        # the Shannon products are bit-identical.
-        needed = set(query_lineage.variables())
-        for component in touched:
-            needed.update(component.variables)
-        probability_of_level = {}
-        for variable in needed:
-            if variable not in order:
-                continue
-            value = probabilities.get(variable)
-            if value is None:
-                value = index.probabilities.get(variable, 0.0)
-            probability_of_level[order.level_of(variable)] = value
-    else:
-        merged_probabilities = dict(index.probabilities)
-        merged_probabilities.update(probabilities)
-        probability_of_level = {
-            order.level_of(variable): value
-            for variable, value in merged_probabilities.items()
-            if variable in order
-        }
 
     chain_count = len(chain)
     chain_roots = [chain.obdd(position).root for position in range(chain_count)]
     chain_under = [chain.obdd(position).prob_under for position in range(chain_count)]
     suffix = chain.suffix
-    q_under = query.prob_under
+    q_levels, q_lows, q_highs, q_under = query.levels, query.lows, query.highs, query.prob_under
 
     def resolve(q_node: int, chain_index: int, w_node: int):
         """Normalise a state: advance past exhausted components, detect leaves."""
@@ -212,7 +284,7 @@ def mv_intersect(
                     chain_index += 1
                     w_node = chain_roots[chain_index]
                     continue
-                return q_under[q_node] if q_node != ONE else 1.0
+                return q_under[q_node]
             if q_node == ONE:
                 # The augmentation shortcut: close the remaining index
                 # sub-OBDD and the untouched suffix of the chain with
@@ -224,7 +296,7 @@ def mv_intersect(
     memo_get = memo.get
     initial = resolve(query.root, 0, chain_roots[0])
     if type(initial) is float:
-        return initial * untouched
+        return initial
 
     expansions = 0
     stack: list[tuple[int, int, int]] = [initial]
@@ -234,13 +306,13 @@ def mv_intersect(
             stack.pop()
             continue
         q_node, chain_index, w_node = state
-        q_level = q_manager.level(q_node)
+        q_level = q_levels[q_node]
         w_level = w_manager.level(w_node)
         if q_level <= w_level:
-            level = q_level
-            q_low, q_high = q_manager.low(q_node), q_manager.high(q_node)
+            probability = q_probability[q_level]
+            q_low, q_high = q_lows[q_node], q_highs[q_node]
         else:
-            level = w_level
+            probability = w_probability[w_level]
             q_low, q_high = q_node, q_node
         if w_level <= q_level:
             w_low, w_high = w_manager.low(w_node), w_manager.high(w_node)
@@ -265,20 +337,20 @@ def mv_intersect(
                 high_state = high_value
         if pending:
             continue
-        probability = probability_of_level[level]
         memo[state] = (1.0 - probability) * low_state + probability * high_state
         expansions += 1
         stack.pop()
 
     stats.pair_expansions += expansions
-    return memo[initial] * untouched
+    return memo[initial]
 
 
 def _synthesised_intersect(
     index: MVIndex,
-    query: AugmentedObdd,
+    query: FlatObdd,
     touched: list[IndexedComponent],
-    probabilities: Mapping[int, float],
+    q_probability: Mapping[int, float],
+    w_probability: Mapping[int, float],
 ) -> float:
     """Fallback for interleaving components: conjoin ``¬W_k`` explicitly.
 
@@ -289,18 +361,9 @@ def _synthesised_intersect(
     OBDD.
     """
     w_manager = index.manager
-    q_manager = query.manager
     w_root = index.conjoined_not_w_root(touched)
-    merged_probabilities = dict(index.probabilities)
-    merged_probabilities.update(probabilities)
-    probability_of_level = {
-        query.order.level_of(variable): value
-        for variable, value in merged_probabilities.items()
-        if variable in query.order
-    }
-
-    prob_under = w_manager.prob_under_map(w_root, probability_of_level)
-    q_under = query.prob_under
+    prob_under = w_manager.prob_under_map(w_root, w_probability)
+    q_levels, q_lows, q_highs, q_under = query.levels, query.lows, query.highs, query.prob_under
 
     def resolve(q_node: int, w_node: int):
         if q_node == ZERO or w_node == ZERO:
@@ -324,13 +387,13 @@ def _synthesised_intersect(
             stack.pop()
             continue
         q_node, w_node = state
-        q_level = q_manager.level(q_node)
+        q_level = q_levels[q_node]
         w_level = w_manager.level(w_node)
         if q_level <= w_level:
-            level = q_level
-            q_low, q_high = q_manager.low(q_node), q_manager.high(q_node)
+            probability = q_probability[q_level]
+            q_low, q_high = q_lows[q_node], q_highs[q_node]
         else:
-            level = w_level
+            probability = w_probability[w_level]
             q_low, q_high = q_node, q_node
         if w_level <= q_level:
             w_low, w_high = w_manager.low(w_node), w_manager.high(w_node)
@@ -355,7 +418,6 @@ def _synthesised_intersect(
                 high_state = high_value
         if pending:
             continue
-        probability = probability_of_level[level]
         memo[state] = (1.0 - probability) * low_state + probability * high_state
         stack.pop()
 

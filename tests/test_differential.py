@@ -33,6 +33,15 @@ import pytest
 
 from repro.db import SqliteBackend
 from repro.indb import TupleIndependentDatabase, probability_to_weight
+from repro.lineage import DNF
+from repro.mvindex import (
+    IntersectStatistics,
+    MVIndex,
+    SkipAnalysis,
+    cc_mv_intersect,
+    mv_intersect,
+)
+from repro.obdd import VariableOrder, build_obdd
 from repro.query import answer_probabilities, as_ucq, evaluate_ucq, parse_query
 from repro.query.evaluator import QueryResult
 from repro.query.terms import is_variable
@@ -332,3 +341,50 @@ class TestWorkloadIsNonTrivial:
         # generator answers a large fraction and exercises real lineage.
         assert answered >= 50
         assert probabilistic >= 30
+
+
+# ------------------------------------------------------- intersection counters
+def random_index(indb: TupleIndependentDatabase, seed: int) -> MVIndex:
+    """A seeded MV-index over an instance's tuple variables.
+
+    ``W`` joins random pairs and triples of variables into components; the
+    order is a seeded shuffle, so touched components interleave in some
+    instances and the explicit-conjunction fallback runs too.
+    """
+    rng = random.Random(20_000 + seed)
+    probabilities = indb.probabilities()
+    variables = sorted(probabilities)
+    clauses = [rng.sample(variables, rng.randint(1, 3)) for _ in range(len(variables) // 3)]
+    shuffled = list(variables)
+    rng.shuffle(shuffled)
+    return MVIndex(DNF(clauses), probabilities, VariableOrder(shuffled))
+
+
+class TestIntersectionCounters:
+    """Both intersection paths report the same work for the same lineage.
+
+    ``QueryResult`` and the benchmark ledger report these counters, and the
+    query-OBDD size is read off the compile's fresh manager, so it must equal
+    the reachable size of an independent compile of the same lineage.
+    """
+
+    @pytest.mark.parametrize("seed", range(INSTANCES_PER_RUN))
+    def test_cc_and_pointer_paths_report_identical_statistics(self, seed):
+        indb = load_instance(instance_spec(seed), backend="memory")
+        index = random_index(indb, seed)
+        probabilities = indb.probabilities()
+        skip = SkipAnalysis(frozenset(index.components), 0, 0, 0.0)
+        query_rng = random.Random(10_000 + seed)
+        for _ in range(QUERIES_PER_INSTANCE):
+            query = parse_query(random_query(query_rng))
+            result = evaluate_ucq(query, indb.database, indb)
+            for lineage in result.lineages().values():
+                compiled = build_obdd(lineage, index.order.extend(sorted(lineage.variables())))
+                for analysis in (None, skip):
+                    counters = []
+                    for algorithm in (cc_mv_intersect, mv_intersect):
+                        statistics = IntersectStatistics()
+                        algorithm(index, lineage, probabilities, statistics, skip=analysis)
+                        counters.append(statistics)
+                    assert counters[0] == counters[1], lineage
+                    assert counters[0].query_obdd_nodes == compiled.manager.size(compiled.root)

@@ -266,3 +266,41 @@ class TestNonBlockingWritePath:
             )
         finally:
             dispatcher.close()
+
+
+# --------------------------------------------------------- shared level map
+def assert_level_map_current(engine) -> None:
+    """Every indexed variable's level holds the engine's probability.
+
+    The intersection reads index-side levels from the index's shared
+    ``level → probability`` map instead of the engine's per-variable map,
+    so the two must agree after every way an index comes to exist or grow.
+    """
+    index = engine.mv_index
+    assert engine.order is index.order
+    level_map = index.probability_of_level
+    for variable in index.order.variables():
+        assert level_map[index.order.level_of(variable)] == engine.probabilities[variable]
+    assert len(level_map) == len(index.order)
+
+
+class TestSharedLevelMap:
+    def test_fresh_build(self):
+        assert_level_map_current(repro.connect(build_mvdb(_config()).mvdb).engine)
+
+    def test_artifact_round_trip(self, tmp_path):
+        db = repro.connect(build_mvdb(_config()).mvdb)
+        path = db.save(tmp_path / "index.json.gz")
+        assert_level_map_current(repro.open(path).engine)
+
+    def test_extend_views(self):
+        engine = repro.connect(build_mvdb(_config(), include_views=("V1", "V2")).mvdb).engine
+        engine.extend_views(build_mvdb(_config()).mvdb)
+        assert_level_map_current(engine)
+
+    def test_ingest_append(self):
+        db = repro.connect(build_mvdb(_config()).mvdb)
+        before = len(db.engine.order)
+        db.append_facts(dblp_ingest_facts(0, batch_size=3))
+        assert len(db.engine.order) > before
+        assert_level_map_current(db.engine)

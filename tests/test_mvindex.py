@@ -1,9 +1,13 @@
 """Tests for the MV-index, augmented OBDDs, and the intersection algorithms."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import MVDB, MarkoView, parse_query
+from repro.core.engine import MVQueryEngine
 from repro.errors import CompilationError
 from repro.lineage import DNF, brute_force_probability
 from repro.mvindex import (
@@ -11,11 +15,15 @@ from repro.mvindex import (
     FlatObdd,
     IntersectStatistics,
     MVIndex,
+    SkipAnalysis,
     cc_mv_intersect,
+    compile_query_obdd,
     mv_intersect,
     p0_q_or_w,
 )
-from repro.obdd import build_obdd, natural_order
+from repro.mvindex import cc_intersect, intersect
+from repro.numerics import GATE_PROBABILITY_ULPS, within_ulps
+from repro.obdd import VariableOrder, build_obdd, natural_order
 
 
 def _conjunction_probability(q: DNF, w: DNF, probabilities) -> float:
@@ -323,3 +331,90 @@ class TestIntersectionProperties:
         expected = _conjunction_probability(q, w, probabilities)
         assert mv_intersect(index, q, probabilities) == pytest.approx(expected, abs=1e-9)
         assert cc_mv_intersect(index, q, probabilities) == pytest.approx(expected, abs=1e-9)
+
+    @given(random_q_and_w())
+    @settings(max_examples=80, deadline=None)
+    def test_skip_path_is_bit_identical_to_the_unrestricted_path(self, case):
+        # The skip path reads index-side levels from the shared level map
+        # and query-side levels from the query OBDD's own map; with the
+        # caller's probabilities agreeing on indexed variables that is the
+        # same value the per-answer full merge holds, so every float matches.
+        w, q, probabilities = case
+        w_probabilities = {v: probabilities[v] for v in w.variables()}
+        index = MVIndex(w, w_probabilities, natural_order(sorted(w.variables())))
+        skip = everything_relevant(index)
+        for intersect in (mv_intersect, cc_mv_intersect):
+            plain = intersect(index, q, probabilities, include_untouched=False)
+            skipped = intersect(index, q, probabilities, include_untouched=False, skip=skip)
+            assert struct.pack("<d", skipped) == struct.pack("<d", plain)
+
+
+def everything_relevant(index: MVIndex) -> SkipAnalysis:
+    """A skip analysis that keeps every component (enables the skip path)."""
+    return SkipAnalysis(frozenset(index.components), 0, 0, 0.0)
+
+
+def interleaved_engine():
+    """An engine whose index order interleaves the two components of ``W``.
+
+    ``W``'s lineage splits into the components of the pairs (a, b) and
+    (c, d).  The default order lays each component out contiguously; this
+    one alternates their variables, so a query touching both pairs reaches
+    the fallback that conjoins interleaving components explicitly.
+    """
+    mvdb = MVDB()
+    weights = (1.5, 0.5, 2.0, 0.8)
+    mvdb.add_probabilistic_table("R", ["x"], [((x,), w) for x, w in zip("abcd", weights)])
+    mvdb.add_deterministic_table("Pair", ["x", "y"], [("a", "b"), ("c", "d")])
+    mvdb.add_markoview(MarkoView("V", parse_query("V(x, y) :- R(x), Pair(x, y), R(y)"), 3.0))
+    built = MVQueryEngine(mvdb)
+    components = [
+        sorted(clause_variables, key=built.order.level_of)
+        for clause_variables in (c.variables for c in built.mv_index.components.values())
+    ]
+    assert len(components) == 2
+    interleaved = [v for pair in zip(*components) for v in pair]
+    rest = [v for v in built.order.variables() if v not in set(interleaved)]
+    order = VariableOrder(interleaved + rest)
+    index = MVIndex(built.w_lineage, built.probabilities, order)
+    engine = MVQueryEngine.from_parts(built.indb, built.w_lineage, order, mv_index=index, mvdb=mvdb)
+    return mvdb, engine
+
+
+class TestInterleavedComponents:
+    QUERY = "Q :- R(x)"
+
+    def test_fixture_interleaves_the_touched_components(self):
+        __, engine = interleaved_engine()
+        first, second = sorted(engine.mv_index.components.values(), key=lambda c: c.min_level)
+        assert second.min_level <= first.max_level
+
+    @pytest.mark.parametrize("use_skip", [True, False])
+    def test_methods_agree(self, use_skip):
+        mvdb, engine = interleaved_engine()
+        query = parse_query(self.QUERY)
+        values = {
+            method: engine.boolean_probability(query, method=method, use_skip=use_skip)
+            for method in ("mvindex", "mvindex-mv", "obdd")
+        }
+        assert within_ulps(values["mvindex"], values["mvindex-mv"], GATE_PROBABILITY_ULPS)
+        assert within_ulps(values["mvindex"], values["obdd"], GATE_PROBABILITY_ULPS)
+        assert values["mvindex"] == pytest.approx(mvdb.exact_query_probability(query))
+
+    def test_query_obdd_is_compiled_once(self, monkeypatch):
+        __, engine = interleaved_engine()
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return compile_query_obdd(*args, **kwargs)
+
+        monkeypatch.setattr(cc_intersect, "compile_query_obdd", counting)
+        monkeypatch.setattr(intersect, "compile_query_obdd", counting)
+        result = engine.query(parse_query(self.QUERY), method="mvindex")
+        assert len(result) == 1
+        assert len(calls) == 1
+        statistics = IntersectStatistics()
+        cc_mv_intersect(engine.mv_index, calls[0], engine.probabilities, statistics=statistics)
+        assert statistics.touched_components == 2
+        assert len(calls) == 2
